@@ -29,33 +29,15 @@ std::unique_ptr<SchedulingPolicy> make_policy(const PolicySpec& spec) {
   throw std::invalid_argument("unknown policy kind");
 }
 
-std::shared_ptr<const curve::CurvePredictor> make_predictor(const PredictorOptions& options,
-                                                            std::uint64_t seed,
-                                                            obs::Scope scope) {
-  curve::PredictorConfig config = options.config;
-  config.seed = seed;
-  std::shared_ptr<const curve::CurvePredictor> inner;
-  switch (options.kind) {
-    case PredictorOptions::Kind::Lsq:
-      inner = curve::make_lsq_predictor(std::move(config));
-      break;
-    case PredictorOptions::Kind::Mcmc:
-      inner = curve::make_mcmc_predictor(std::move(config));
-      break;
-    case PredictorOptions::Kind::LastValue:
-      inner = curve::make_last_value_predictor(std::move(config));
-      break;
-  }
-  // Memoize: policies re-consult the posterior for the same (history,
-  // horizon) within a boundary round (§5.2 node-agent-side caching).
-  return curve::with_cache_options(std::move(inner), options.cache, std::move(scope));
-}
-
 std::shared_ptr<const curve::CurvePredictor> make_default_predictor(std::uint64_t seed,
                                                                     obs::Scope scope) {
-  PredictorOptions options;
-  options.config.lsq_samples = 200;
-  return make_predictor(options, seed, std::move(scope));
+  curve::PredictorConfig config;
+  config.lsq_samples = 200;
+  config.seed = seed;
+  // Memoize: policies re-consult the posterior for the same (history,
+  // horizon) within a boundary round (§5.2 node-agent-side caching).
+  return curve::with_cache(curve::make_lsq_predictor(std::move(config)),
+                           curve::CachingOptions{512}, std::move(scope));
 }
 
 ExperimentResult run_experiment(const workload::Trace& trace, const PolicySpec& spec,

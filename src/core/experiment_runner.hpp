@@ -38,30 +38,12 @@ struct PolicySpec {
 /// in the spec; `make_default_predictor` below provides the standard one.
 [[nodiscard]] std::unique_ptr<SchedulingPolicy> make_policy(const PolicySpec& spec);
 
-/// Predictor wiring in one place: which inner predictor to build, its
-/// configuration, and the caching/warm-start decorator options. The seed is
-/// passed separately (per experiment) and overrides `config.seed`.
-struct PredictorOptions {
-  enum class Kind { Lsq, Mcmc, LastValue };
-  Kind kind = Kind::Lsq;
-  curve::PredictorConfig config;
-  /// Decorator options. warm_start (now on by default, gated by the 30-seed
-  /// decision-invariance property test) only takes effect for Kind::Mcmc —
-  /// the only warm-startable predictor; for Lsq/LastValue it silently
-  /// degrades to a plain cache. See DESIGN.md §11 for the determinism
-  /// contract and the knife-edge rotation caveat.
-  curve::CachingOptions cache{/*capacity=*/512};
-};
-
-/// Build a cached predictor per `options`.
-[[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_predictor(
-    const PredictorOptions& options, std::uint64_t seed, obs::Scope scope = {});
-
-/// The fast LSQ-bootstrap predictor configuration used by the simulation
-/// benches (the full-MCMC predictor is available via curve::make_mcmc_predictor
-/// and is exercised by the predictor micro-bench, §5.2). Pass a scope to
-/// observe fit/cache-hit activity (untimed events + predictor.* counters).
-/// Equivalent to make_predictor with default PredictorOptions.
+/// The predictor every policy-building path uses: the fast LSQ-bootstrap
+/// predictor (200 bootstrap curves, all 11 families) seeded with `seed`,
+/// memoized by a 512-entry CachingPredictor. The full-MCMC predictor is
+/// available via curve::make_mcmc_predictor and is exercised by the
+/// predictor benches (§5.2). Pass a scope to observe fit/cache-hit activity
+/// (untimed events + predictor.* counters).
 [[nodiscard]] std::shared_ptr<const curve::CurvePredictor> make_default_predictor(
     std::uint64_t seed, obs::Scope scope = {});
 

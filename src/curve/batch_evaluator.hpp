@@ -1,27 +1,29 @@
 // BatchEvaluator — fused, allocation-free log-posterior kernels for the
-// ensemble MCMC hot path (ROADMAP item 1: ≥10x sweep-cell throughput).
+// ensemble MCMC sampler.
 //
 // CurveEnsemble::log_posterior is evaluated ~nwalkers * nsamples times per
-// fit. The generic path walks virtual ParametricModel::eval through two
-// passes (prior sanity + likelihood), recomputing per-theta constants at
-// every epoch. BatchEvaluator flattens the ensemble into dispatch-free
-// tables at reset() time and evaluates with a single fused pass:
+// fit. The reference path walks the ensemble through two passes (prior
+// sanity + likelihood), recomputing per-theta constants at every epoch.
+// BatchEvaluator flattens the ensemble into tables at reset() time and
+// evaluates with a single fused pass:
 //
 //   * one curve evaluation per epoch (the prior's sanity check and the
 //     likelihood residual share it — eval is pure, so this is bit-identical
 //     to the two-pass reference),
 //   * per-theta constants hoisted out of the epoch loop (normalized weights
-//     w_k / sum_j w_j, exp(b) for log_power, kappa^eta for hill3),
+//     w_k / sum_j w_j, family_hoist's exp(b) for log_power and kappa^eta for
+//     hill3),
 //   * per-epoch constants precomputed once per bind() (x, log x, log(x+1)),
 //   * struct-of-arrays log_prob_batch for the initial walker sweep: thetas
 //     are transposed so the per-family inner loops run contiguously across
 //     walkers.
 //
-// Every hoist reuses the exact arithmetic expression of the reference path
-// (same operands, same operation order), so results are bit-identical — the
-// contract predictor_equivalence_test enforces across all 11 families.
-// Scratch buffers are members and reuse their capacity across reset()/bind(),
-// so a steady-state predict loop does no allocation here.
+// Every curve value comes from family_eval (parametric_models.hpp), the one
+// copy of each family formula, with the same operands in the same order as
+// the reference path, so results are bit-identical — the contract
+// predictor_equivalence_test enforces across all 11 families. Scratch
+// buffers are members and reuse their capacity across reset()/bind(), so a
+// steady-state predict loop does no allocation here.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +40,7 @@ class BatchEvaluator final : public LogProbFn {
   BatchEvaluator() = default;
   explicit BatchEvaluator(const CurveEnsemble& ensemble) { reset(ensemble); }
 
-  /// Capture the ensemble's layout (family kinds, parameter offsets, flat
+  /// Capture the ensemble's layout (families, parameter offsets, flat
   /// bounds, prior). The ensemble must outlive this evaluator. Reusable:
   /// scratch capacity carries over from the previous reset.
   void reset(const CurveEnsemble& ensemble);
@@ -69,24 +71,9 @@ class BatchEvaluator final : public LogProbFn {
   [[nodiscard]] double eval_curve(double x, std::span<const double> theta) const noexcept;
 
  private:
-  enum class Family : unsigned char {
-    kPow3,
-    kPow4,
-    kLogLogLinear,
-    kLogPower,
-    kVaporPressure,
-    kHill3,
-    kMmf,
-    kExp4,
-    kJanoschek,
-    kWeibull,
-    kIlog2,
-  };
-
   struct Slot {
     Family kind;
-    std::size_t offset;   ///< first parameter index in packed theta
-    std::size_t nparams;
+    std::size_t offset;  ///< first parameter index in packed theta
   };
 
   /// Fused ensemble curve at table slot `idx` (epochs 1..n, horizon at n).

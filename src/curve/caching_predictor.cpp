@@ -27,24 +27,10 @@ std::uint64_t hash_doubles(std::uint64_t h, std::span<const double> xs) {
 }  // namespace
 
 CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
-                                   std::size_t capacity)
-    : CachingPredictor(std::move(inner), CachingOptions{capacity}, obs::Scope{}) {}
-
-CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
-                                   std::size_t capacity, obs::Scope scope)
-    : CachingPredictor(std::move(inner), CachingOptions{capacity}, std::move(scope)) {}
-
-CachingPredictor::CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
                                    CachingOptions options, obs::Scope scope)
     : inner_(std::move(inner)), options_(options), obs_(std::move(scope)) {
   if (!inner_) throw std::invalid_argument("CachingPredictor needs an inner predictor");
   if (options_.capacity == 0) throw std::invalid_argument("cache capacity must be >= 1");
-  if (options_.warm_start && options_.warm_capacity == 0) {
-    throw std::invalid_argument("warm cache capacity must be >= 1");
-  }
-  if (options_.warm_start) {
-    warm_inner_ = dynamic_cast<const WarmStartPredictor*>(inner_.get());
-  }
 }
 
 CurvePrediction CachingPredictor::predict(std::span<const double> history,
@@ -73,51 +59,7 @@ CurvePrediction CachingPredictor::predict(std::span<const double> history,
 
   // Compute outside the lock: concurrent misses on different keys must not
   // serialize on the inner LSQ/MCMC work (inner predictors are stateless).
-  CurvePrediction prediction;
-  if (warm_inner_ != nullptr) {
-    // A job's history grows by appended epochs, so the posterior of this
-    // curve's most recent fit is stored under a hash of a strict prefix.
-    // Evaluation boundaries may skip epochs, so scan prefixes longest-first.
-    WarmPosterior seed;
-    bool have_seed = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (std::size_t m = history.size(); m-- > 1 && !have_seed;) {
-        const std::uint64_t wkey = hash_doubles(kFnvBasis, history.subspan(0, m));
-        const auto it = warm_cache_.find(wkey);
-        if (it != warm_cache_.end()) {
-          seed = it->second->state;  // copy out; the fit runs outside the lock
-          warm_lru_.splice(warm_lru_.begin(), warm_lru_, it->second);
-          ++warm_hits_;
-          have_seed = true;
-        }
-      }
-    }
-    if (have_seed && obs_.metrics != nullptr) {
-      obs_.metrics->counter("predictor.warm_seeds").add();
-    }
-    WarmPosterior out;
-    prediction = warm_inner_->predict_warm(history, future_epochs, horizon,
-                                           have_seed ? &seed : nullptr, &out);
-    if (!out.empty()) {
-      const std::uint64_t wkey = hash_doubles(kFnvBasis, history);
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = warm_cache_.find(wkey);
-      if (it != warm_cache_.end()) {
-        it->second->state = std::move(out);
-        warm_lru_.splice(warm_lru_.begin(), warm_lru_, it->second);
-      } else {
-        warm_lru_.push_front(WarmEntry{wkey, std::move(out)});
-        warm_cache_[wkey] = warm_lru_.begin();
-        if (warm_cache_.size() > options_.warm_capacity) {
-          warm_cache_.erase(warm_lru_.back().key);
-          warm_lru_.pop_back();
-        }
-      }
-    }
-  } else {
-    prediction = inner_->predict(history, future_epochs, horizon);
-  }
+  CurvePrediction prediction = inner_->predict(history, future_epochs, horizon);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (cache_.find(key) == cache_.end()) {  // another thread may have raced us
@@ -146,23 +88,8 @@ std::size_t CachingPredictor::size() const noexcept {
   return cache_.size();
 }
 
-std::size_t CachingPredictor::warm_hits() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return warm_hits_;
-}
-
-std::size_t CachingPredictor::warm_size() const noexcept {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return warm_cache_.size();
-}
-
-std::shared_ptr<const CurvePredictor> with_cache(
-    std::shared_ptr<const CurvePredictor> inner, std::size_t capacity, obs::Scope scope) {
-  return std::make_shared<CachingPredictor>(std::move(inner), capacity, std::move(scope));
-}
-
-std::shared_ptr<const CurvePredictor> with_cache_options(
-    std::shared_ptr<const CurvePredictor> inner, CachingOptions options, obs::Scope scope) {
+std::shared_ptr<const CurvePredictor> with_cache(std::shared_ptr<const CurvePredictor> inner,
+                                                 CachingOptions options, obs::Scope scope) {
   return std::make_shared<CachingPredictor>(std::move(inner), options, std::move(scope));
 }
 

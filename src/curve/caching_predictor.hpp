@@ -8,14 +8,6 @@
 // work. Predictors are deterministic per (config, history), so caching is
 // semantics-preserving.
 //
-// Warm-start mode (CachingOptions::warm_start, off by default): when the
-// inner predictor implements WarmStartPredictor, the decorator also keeps an
-// LRU of final posterior walker states keyed by history. A miss for a grown
-// prefix of a previously fitted curve seeds the new fit's walkers from the
-// stored posterior instead of the cold LSQ+jitter start, skipping the
-// per-family Nelder–Mead fits (DESIGN.md §11 documents the determinism
-// contract: same kill/keep decisions, not byte-identical posteriors).
-//
 // Thread safety: a single instance may be shared across threads (e.g. sweep
 // cells hammering one predictor). The LRU state and hit/miss counters are
 // guarded by an internal mutex; the inner predictor runs outside the lock,
@@ -36,30 +28,16 @@ namespace hyperdrive::curve {
 struct CachingOptions {
   /// LRU capacity for memoized predictions.
   std::size_t capacity = 256;
-  /// Seed MCMC fits from the previous posterior of the same curve. Only
-  /// takes effect when the inner predictor implements WarmStartPredictor;
-  /// otherwise silently behaves like a plain cache. On by default since the
-  /// 30-seed decision-invariance gate (WarmStartPropertyTest) pinned that
-  /// warm seeding changes no scheduling decision and no golden trace; see
-  /// DESIGN.md §11 for the knife-edge rotation caveat before relying on it
-  /// in new knife-edge-sensitive comparisons.
-  bool warm_start = true;
-  /// LRU capacity for stored warm posterior states.
-  std::size_t warm_capacity = 512;
 };
 
 class CachingPredictor final : public CurvePredictor {
  public:
-  /// Wraps `inner` with an LRU cache of `capacity` predictions.
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, std::size_t capacity = 256);
-  /// As above with an instrumentation scope: every predict() emits an untimed
-  /// PredictorFit (cache miss) or PredictorCacheHit event and bumps the
-  /// predictor.fits / predictor.cache_hits counters (DESIGN.md §10).
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, std::size_t capacity,
-                   obs::Scope scope);
-  /// Full options (warm-start mode lives here).
-  CachingPredictor(std::shared_ptr<const CurvePredictor> inner, CachingOptions options,
-                   obs::Scope scope = {});
+  /// Wraps `inner` with an LRU cache of `options.capacity` predictions. With
+  /// an attached scope, every predict() emits an untimed PredictorFit (cache
+  /// miss) or PredictorCacheHit event and bumps the predictor.fits /
+  /// predictor.cache_hits counters (DESIGN.md §10).
+  explicit CachingPredictor(std::shared_ptr<const CurvePredictor> inner,
+                            CachingOptions options = {}, obs::Scope scope = {});
 
   [[nodiscard]] std::string_view name() const noexcept override { return "caching"; }
 
@@ -70,23 +48,14 @@ class CachingPredictor final : public CurvePredictor {
   [[nodiscard]] std::size_t hits() const noexcept;
   [[nodiscard]] std::size_t misses() const noexcept;
   [[nodiscard]] std::size_t size() const noexcept;
-  /// Number of fits that were seeded from a stored warm posterior.
-  [[nodiscard]] std::size_t warm_hits() const noexcept;
-  /// Number of warm posterior states currently stored.
-  [[nodiscard]] std::size_t warm_size() const noexcept;
 
  private:
   struct Entry {
     std::uint64_t key;
     CurvePrediction prediction;
   };
-  struct WarmEntry {
-    std::uint64_t key;
-    WarmPosterior state;
-  };
 
   std::shared_ptr<const CurvePredictor> inner_;
-  const WarmStartPredictor* warm_inner_ = nullptr;  ///< inner_, if warm-startable
   CachingOptions options_;
   obs::Scope obs_;
   // LRU: most-recent at the front; map points into the list. All members
@@ -94,22 +63,14 @@ class CachingPredictor final : public CurvePredictor {
   mutable std::mutex mutex_;
   mutable std::list<Entry> lru_;
   mutable std::unordered_map<std::uint64_t, std::list<Entry>::iterator> cache_;
-  mutable std::list<WarmEntry> warm_lru_;
-  mutable std::unordered_map<std::uint64_t, std::list<WarmEntry>::iterator> warm_cache_;
   mutable std::size_t hits_ = 0;
   mutable std::size_t misses_ = 0;
-  mutable std::size_t warm_hits_ = 0;
 };
 
 /// Convenience: wrap a predictor. Pass a scope to observe fit/cache-hit
 /// activity; the default detached scope adds nothing.
 [[nodiscard]] std::shared_ptr<const CurvePredictor> with_cache(
-    std::shared_ptr<const CurvePredictor> inner, std::size_t capacity = 256,
-    obs::Scope scope = {});
-
-/// As with_cache, with full options (warm-start mode).
-[[nodiscard]] std::shared_ptr<const CurvePredictor> with_cache_options(
-    std::shared_ptr<const CurvePredictor> inner, CachingOptions options,
+    std::shared_ptr<const CurvePredictor> inner, CachingOptions options = {},
     obs::Scope scope = {});
 
 }  // namespace hyperdrive::curve

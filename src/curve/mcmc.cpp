@@ -131,7 +131,6 @@ McmcResult run_impl(LogProbFn& fn, std::vector<double> walkers, std::size_t dim,
 
   result.acceptance_rate =
       proposed > 0 ? static_cast<double>(accepted) / static_cast<double>(proposed) : 0.0;
-  result.final_walkers = std::move(walkers);
   return result;
 }
 

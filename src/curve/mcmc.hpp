@@ -27,9 +27,6 @@ struct McmcResult {
   std::vector<double> samples;
   std::size_t dim = 0;
   double acceptance_rate = 0.0;
-  /// Final walker positions (flat nwalkers rows of dim): the posterior state
-  /// a warm-started follow-up fit can seed its walkers from.
-  std::vector<double> final_walkers;
 
   [[nodiscard]] std::size_t num_samples() const noexcept {
     return dim == 0 ? 0 : samples.size() / dim;

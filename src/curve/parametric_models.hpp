@@ -11,16 +11,23 @@
 //   log_power       a / (1 + (x / exp(b))^c)
 //   vapor_pressure  exp(a + b/x + c * log(x))
 //   hill3           ymax * x^eta / (kappa^eta + x^eta)
-//   mmf             alpha - (alpha - beta) / (1 + (kappa * x)^delta)
+//   mmf             alpha - (alpha - beta) / (1 + (kappa*x)^delta)
 //   exp4            c - exp(-a * x^alpha + b)
 //   janoschek       alpha - (alpha - beta) * exp(-kappa * x^delta)
-//   weibull         alpha - (alpha - beta) * exp(-(kappa * x)^delta)
+//   weibull         alpha - (alpha - beta) * exp(-(kappa*x)^delta)
 //   ilog2           c - a / log(x + 1)
 //
 // All performance values are assumed normalized to [0, 1] (accuracy, or
 // min-max scaled reward per Eq. 4 of the paper).
+//
+// Every evaluator in curve/ — ParametricModel::eval, CurveEnsemble::eval and
+// the fused BatchEvaluator kernels — calls family_eval below, so each formula
+// exists exactly once. The family table (name, bounds, initial guess) lives
+// in parametric_models.cpp, one row per Family in enum order.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <memory>
 #include <span>
 #include <string>
@@ -31,6 +38,72 @@
 
 namespace hyperdrive::curve {
 
+/// The families, in canonical order (the order of all_model_names()).
+enum class Family : unsigned char {
+  kPow3,
+  kPow4,
+  kLogLogLinear,
+  kLogPower,
+  kVaporPressure,
+  kHill3,
+  kMmf,
+  kExp4,
+  kJanoschek,
+  kWeibull,
+  kIlog2,
+};
+
+/// The per-theta constant a family's formula reads, computed once per
+/// parameter vector: exp(b) for log_power, kappa^eta for hill3, 0 otherwise.
+/// `t` is anything indexable by parameter position.
+template <class Params>
+[[nodiscard]] inline double family_hoist(Family family, const Params& t) noexcept {
+  if (family == Family::kLogPower) return std::exp(t[1]);
+  if (family == Family::kHill3) return std::pow(t[2], t[1]);
+  return 0.0;
+}
+
+/// y(x) for `family` with parameters `t`, given hoist = family_hoist(family,
+/// t), lx = log(x) (read only by log_log_linear and vapor_pressure) and
+/// lxp1 = log(x + 1) (read only by ilog2). Callers that evaluate one point
+/// may pass 0 for the values the family does not read. May return non-finite
+/// values for pathological parameters; callers must reject those.
+template <class Params>
+[[nodiscard]] inline double family_eval(Family family, const Params& t, double hoist,
+                                        double x, double lx, double lxp1) noexcept {
+  switch (family) {
+    case Family::kPow3:
+      return t[0] - t[1] * std::pow(x, -t[2]);
+    case Family::kPow4: {
+      const double base = t[1] * x + t[2];
+      return base <= 0.0 ? std::nan("") : t[0] - std::pow(base, -t[3]);
+    }
+    case Family::kLogLogLinear: {
+      const double inner = t[0] * lx + t[1];
+      return inner <= 0.0 ? std::nan("") : std::log(inner);
+    }
+    case Family::kLogPower:
+      return t[0] / (1.0 + std::pow(x / hoist, t[2]));
+    case Family::kVaporPressure:
+      return std::exp(t[0] + t[1] / x + t[2] * lx);
+    case Family::kHill3: {
+      const double xe = std::pow(x, t[1]);
+      return t[0] * xe / (hoist + xe);
+    }
+    case Family::kMmf:
+      return t[0] - (t[0] - t[1]) / (1.0 + std::pow(t[2] * x, t[3]));
+    case Family::kExp4:
+      return t[0] - std::exp(-t[1] * std::pow(x, t[3]) + t[2]);
+    case Family::kJanoschek:
+      return t[0] - (t[0] - t[1]) * std::exp(-t[2] * std::pow(x, t[3]));
+    case Family::kWeibull:
+      return t[0] - (t[0] - t[1]) * std::exp(-std::pow(t[2] * x, t[3]));
+    case Family::kIlog2:
+      return t[0] - t[1] / lxp1;
+  }
+  return std::nan("");
+}
+
 /// Inclusive parameter box used both as a uniform prior support and to
 /// clamp optimizer proposals.
 struct ParamBounds {
@@ -38,30 +111,46 @@ struct ParamBounds {
   double hi = 1.0;
 };
 
-/// Interface for one parametric curve family.
+/// Result of a least-squares family fit.
+struct FamilyFit {
+  std::vector<double> params;  ///< clamped into the bounds box
+  double mse = 0.0;            ///< mean squared residual; +inf if never finite
+};
+
+/// One curve family: a handle to its row of the family table.
 class ParametricModel {
  public:
-  virtual ~ParametricModel() = default;
+  explicit ParametricModel(Family family) noexcept : family_(family) {}
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual std::size_t num_params() const noexcept = 0;
-  [[nodiscard]] virtual const std::vector<ParamBounds>& bounds() const noexcept = 0;
+  [[nodiscard]] Family family() const noexcept { return family_; }
+  [[nodiscard]] std::string_view name() const noexcept;
+  [[nodiscard]] std::size_t num_params() const noexcept { return bounds().size(); }
+  [[nodiscard]] std::span<const ParamBounds> bounds() const noexcept;
 
   /// Evaluate the curve at epoch x (x >= 1) with parameters theta
   /// (theta.size() == num_params()). May return non-finite values for
   /// pathological theta; callers must reject those.
-  [[nodiscard]] virtual double eval(double x, std::span<const double> theta) const noexcept = 0;
+  [[nodiscard]] double eval(double x, std::span<const double> theta) const noexcept;
 
   /// A reasonable starting point for the optimizer given the observed prefix
-  /// ys (ys[i] is performance at epoch i+1). Deterministic.
-  [[nodiscard]] virtual std::vector<double> initial_guess(
-      std::span<const double> ys) const = 0;
+  /// ys (ys[i] is performance at epoch i+1), clamped into the bounds box.
+  /// Deterministic.
+  [[nodiscard]] std::vector<double> initial_guess(std::span<const double> ys) const;
+
+  /// Least-squares fit to ys (ys[i] at epoch i+1): Nelder–Mead from
+  /// initial_guess(ys) on the mean squared residual, with every proposal
+  /// clamped into the bounds box and a non-finite curve value scoring +inf.
+  /// Deterministic given ys.
+  [[nodiscard]] FamilyFit fit(std::span<const double> ys) const;
 
   /// Draw a random parameter vector uniformly from the bounds box.
   [[nodiscard]] std::vector<double> random_params(util::Rng& rng) const;
 
   /// True iff theta lies inside the bounds box.
   [[nodiscard]] bool in_bounds(std::span<const double> theta) const noexcept;
+
+ private:
+  Family family_;
 };
 
 /// Construct all 11 families (the full Domhan set).

@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "curve/batch_evaluator.hpp"
-#include "curve/nelder_mead.hpp"
 
 namespace hyperdrive::curve {
 
@@ -50,23 +49,7 @@ void validate_request(std::span<const double> history, std::span<const double> f
   }
 }
 
-/// Scalar reference evaluator: the generic two-pass CurveEnsemble path,
-/// kept as the ground truth the fused kernels are tested against.
-class EnsembleLogProb final : public LogProbFn {
- public:
-  EnsembleLogProb(const CurveEnsemble& ensemble, std::span<const double> ys)
-      : ensemble_(ensemble), ys_(ys) {}
-
-  [[nodiscard]] double log_prob(std::span<const double> theta) override {
-    return ensemble_.log_posterior(theta, ys_);
-  }
-
- private:
-  const CurveEnsemble& ensemble_;
-  std::span<const double> ys_;
-};
-
-class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
+class McmcPredictor final : public CurvePredictor {
  public:
   explicit McmcPredictor(PredictorConfig config) : config_(std::move(config)) {}
 
@@ -75,48 +58,27 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
   [[nodiscard]] CurvePrediction predict(std::span<const double> history,
                                         std::span<const double> future_epochs,
                                         double horizon) const override {
-    return predict_warm(history, future_epochs, horizon, nullptr, nullptr);
-  }
-
-  [[nodiscard]] CurvePrediction predict_warm(std::span<const double> history,
-                                             std::span<const double> future_epochs,
-                                             double horizon, const WarmPosterior* warm,
-                                             WarmPosterior* out) const override {
     validate_request(history, future_epochs, horizon);
     CurveEnsemble ensemble(models_from_config(config_), horizon, config_.prior);
     util::Rng rng(util::derive_seed(config_.seed, hash_history(history)));
     const std::size_t dim = ensemble.dim();
 
-    BatchEvaluator* eval = nullptr;
-    McmcResult mcmc;
-    bool sampled = false;
-    if (warm != nullptr && !warm->empty() && warm->dim == dim &&
-        warm->walkers.size() == config_.mcmc.nwalkers * dim) {
-      try {
-        mcmc = run_sampler(ensemble, history, warm->walkers, rng, eval);
-        sampled = true;
-      } catch (const std::runtime_error&) {
-        // Every warm walker fell outside the grown prefix's support. The
-        // sampler throws before consuming any randomness, so falling through
-        // to the cold start below is byte-identical to a cold-only call.
-      }
+    const auto center = ensemble.initial_theta(history);
+    std::vector<double> walkers;
+    walkers.reserve(config_.mcmc.nwalkers * dim);
+    // First walker exactly at the least-squares center, the rest jittered.
+    walkers.insert(walkers.end(), center.begin(), center.end());
+    for (std::size_t i = 1; i < config_.mcmc.nwalkers; ++i) {
+      const auto w = ensemble.jitter(center, rng);
+      walkers.insert(walkers.end(), w.begin(), w.end());
     }
-    if (!sampled) {
-      const auto center = ensemble.initial_theta(history);
-      std::vector<double> walkers;
-      walkers.reserve(config_.mcmc.nwalkers * dim);
-      // First walker exactly at the least-squares center, the rest jittered.
-      walkers.insert(walkers.end(), center.begin(), center.end());
-      for (std::size_t i = 1; i < config_.mcmc.nwalkers; ++i) {
-        const auto w = ensemble.jitter(center, rng);
-        walkers.insert(walkers.end(), w.begin(), w.end());
-      }
-      mcmc = run_sampler(ensemble, history, std::move(walkers), rng, eval);
-    }
-    if (out != nullptr) {
-      out->dim = dim;
-      out->walkers = mcmc.final_walkers;
-    }
+    // One evaluator per thread: its scratch arenas persist across predict
+    // calls, so a steady-state sweep cell allocates nothing here.
+    thread_local BatchEvaluator evaluator;
+    evaluator.reset(ensemble);
+    evaluator.bind(history);
+    const McmcResult mcmc =
+        run_ensemble_mcmc(evaluator, std::move(walkers), dim, config_.mcmc, rng);
 
     // Posterior predictive over *observed* performance: latent curve plus
     // each sample's own observation noise. Reported validation accuracy is
@@ -133,10 +95,7 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
       const double sigma = std::exp(theta[ensemble.sigma_offset()]);
       bool ok = true;
       for (std::size_t e = 0; e < width; ++e) {
-        const double latent = eval != nullptr
-                                  ? eval->eval_curve(future_epochs[e], theta)
-                                  : ensemble.eval(future_epochs[e], theta);
-        row[e] = latent + rng.normal(0.0, sigma);
+        row[e] = evaluator.eval_curve(future_epochs[e], theta) + rng.normal(0.0, sigma);
         if (!std::isfinite(row[e])) {
           ok = false;
           break;
@@ -152,28 +111,6 @@ class McmcPredictor final : public CurvePredictor, public WarmStartPredictor {
   }
 
  private:
-  /// Run the ensemble sampler over flat walkers, routing log-posterior
-  /// evaluation through the fused kernels (config_.batched_kernel) or the
-  /// scalar reference path. `eval_out` receives the bound evaluator (fused
-  /// path only) so the posterior-predictive stage can reuse its tables.
-  McmcResult run_sampler(const CurveEnsemble& ensemble, std::span<const double> history,
-                         std::vector<double> walkers, util::Rng& rng,
-                         BatchEvaluator*& eval_out) const {
-    if (config_.batched_kernel) {
-      // One evaluator per thread: its scratch arenas persist across predict
-      // calls, so a steady-state sweep cell allocates nothing here.
-      thread_local BatchEvaluator evaluator;
-      evaluator.reset(ensemble);
-      evaluator.bind(history);
-      eval_out = &evaluator;
-      return run_ensemble_mcmc(evaluator, std::move(walkers), ensemble.dim(),
-                               config_.mcmc, rng);
-    }
-    EnsembleLogProb fn(ensemble, history);
-    eval_out = nullptr;
-    return run_ensemble_mcmc(fn, std::move(walkers), ensemble.dim(), config_.mcmc, rng);
-  }
-
   PredictorConfig config_;
 };
 
@@ -191,36 +128,12 @@ class LsqPredictor final : public CurvePredictor {
     util::Rng rng(util::derive_seed(config_.seed ^ 0xf457, hash_history(history)));
 
     // Per-family least-squares fit.
-    struct Fit {
-      std::vector<double> params;
-      double mse = std::numeric_limits<double>::infinity();
-    };
-    std::vector<Fit> fits(models.size());
+    std::vector<FamilyFit> fits;
+    fits.reserve(models.size());
     double best_mse = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < models.size(); ++k) {
-      const auto& model = *models[k];
-      const auto& box = model.bounds();
-      auto objective = [&](const std::vector<double>& raw) {
-        std::vector<double> p = raw;
-        for (std::size_t d = 0; d < p.size(); ++d) {
-          p[d] = std::clamp(p[d], box[d].lo, box[d].hi);
-        }
-        double mse = 0.0;
-        for (std::size_t i = 0; i < history.size(); ++i) {
-          const double f = model.eval(static_cast<double>(i + 1), p);
-          if (!std::isfinite(f)) return std::numeric_limits<double>::infinity();
-          const double r = history[i] - f;
-          mse += r * r;
-        }
-        return mse / static_cast<double>(history.size());
-      };
-      auto fit = nelder_mead(objective, model.initial_guess(history));
-      for (std::size_t d = 0; d < fit.x.size(); ++d) {
-        fit.x[d] = std::clamp(fit.x[d], box[d].lo, box[d].hi);
-      }
-      fits[k].params = std::move(fit.x);
-      fits[k].mse = fit.fx;
-      best_mse = std::min(best_mse, fits[k].mse);
+    for (const auto& model : models) {
+      fits.push_back(model->fit(history));
+      best_mse = std::min(best_mse, fits.back().mse);
     }
 
     // Mixture weights via a softmax over fit quality: families that explain

@@ -83,22 +83,6 @@ struct PredictorConfig {
   double lsq_optimistic_fraction = 0.35;
   EnsemblePrior prior;
   std::uint64_t seed = 0x5eed;
-  /// Route MCMC log-posterior evaluation through the fused BatchEvaluator
-  /// kernels instead of the generic CurveEnsemble path. Bit-identical results
-  /// (enforced by predictor_equivalence_test), ~5x faster; off = the scalar
-  /// reference path, kept for equivalence testing and custom model families.
-  bool batched_kernel = true;
-};
-
-/// Posterior walker state exported by a warm-startable predictor: the final
-/// MCMC walker positions of a fit, usable to seed the next fit on a grown
-/// prefix of the same curve (DESIGN.md §11).
-struct WarmPosterior {
-  std::size_t dim = 0;
-  /// Flat nwalkers x dim walker matrix; empty means "no state".
-  std::vector<double> walkers;
-
-  [[nodiscard]] bool empty() const noexcept { return walkers.empty(); }
 };
 
 class CurvePredictor {
@@ -114,27 +98,8 @@ class CurvePredictor {
                                                 double horizon) const = 0;
 };
 
-/// Mixin for predictors whose fit can be seeded from a previous posterior
-/// (detected via dynamic_cast by CachingPredictor's warm-start mode).
-class WarmStartPredictor {
- public:
-  virtual ~WarmStartPredictor() = default;
-
-  /// As predict(), but: if `warm` is non-null, non-empty and dimensionally
-  /// compatible, seed the sampler's walkers from it instead of the cold
-  /// LSQ+jitter start (falling back to cold if every warm walker lies
-  /// outside the new prefix's support — the fallback consumes no extra
-  /// randomness, so it is byte-identical to a cold-only call). If `out` is
-  /// non-null, export this fit's final walker state into it.
-  [[nodiscard]] virtual CurvePrediction predict_warm(std::span<const double> history,
-                                                     std::span<const double> future_epochs,
-                                                     double horizon,
-                                                     const WarmPosterior* warm,
-                                                     WarmPosterior* out) const = 0;
-};
-
-/// Full probabilistic predictor: 11-family ensemble + affine-invariant MCMC.
-/// Implements WarmStartPredictor.
+/// Full probabilistic predictor: 11-family ensemble + affine-invariant MCMC,
+/// with log-posterior evaluation on the fused BatchEvaluator kernels.
 [[nodiscard]] std::unique_ptr<CurvePredictor> make_mcmc_predictor(PredictorConfig config);
 
 /// Fast approximation: per-family least-squares fits + residual bootstrap.

@@ -5,11 +5,6 @@
 #include <atomic>
 #include <thread>
 
-#include "cluster/cluster.hpp"
-#include "core/experiment_runner.hpp"
-#include "workload/cifar_model.hpp"
-#include "workload/trace.hpp"
-
 namespace hyperdrive::curve {
 namespace {
 
@@ -33,14 +28,14 @@ class CountingPredictor final : public CurvePredictor {
 };
 
 TEST(CachingPredictorTest, ValidatesConstruction) {
-  EXPECT_THROW(CachingPredictor(nullptr, 4), std::invalid_argument);
-  EXPECT_THROW(CachingPredictor(std::make_shared<CountingPredictor>(), 0),
+  EXPECT_THROW(CachingPredictor(nullptr, CachingOptions{4}), std::invalid_argument);
+  EXPECT_THROW(CachingPredictor(std::make_shared<CountingPredictor>(), CachingOptions{0}),
                std::invalid_argument);
 }
 
 TEST(CachingPredictorTest, RepeatedRequestsHitTheCache) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 8);
+  CachingPredictor cached(inner, CachingOptions{8});
   const std::vector<double> history = {0.1, 0.2, 0.3};
   const std::vector<double> future = {10.0, 20.0};
 
@@ -54,7 +49,7 @@ TEST(CachingPredictorTest, RepeatedRequestsHitTheCache) {
 
 TEST(CachingPredictorTest, DifferentRequestsMiss) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 8);
+  CachingPredictor cached(inner, CachingOptions{8});
   const std::vector<double> history = {0.1, 0.2, 0.3};
   (void)cached.predict(history, std::vector<double>{10.0}, 120.0);
   (void)cached.predict(history, std::vector<double>{11.0}, 120.0);  // future differs
@@ -67,7 +62,7 @@ TEST(CachingPredictorTest, DifferentRequestsMiss) {
 
 TEST(CachingPredictorTest, LruEvictsOldestEntry) {
   auto inner = std::make_shared<CountingPredictor>();
-  CachingPredictor cached(inner, 2);
+  CachingPredictor cached(inner, CachingOptions{2});
   const std::vector<double> h1 = {0.1}, h2 = {0.2}, h3 = {0.3};
   const std::vector<double> future = {5.0};
   (void)cached.predict(h1, future, 120.0);  // miss (h1 cached)
@@ -105,7 +100,7 @@ class AtomicCountingPredictor final : public CurvePredictor {
 // free, not just crash-free).
 TEST(CachingPredictorTest, ConcurrentHammerStaysConsistent) {
   auto inner = std::make_shared<AtomicCountingPredictor>();
-  CachingPredictor cached(inner, 16);
+  CachingPredictor cached(inner, CachingOptions{16});
 
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 200;
@@ -138,251 +133,11 @@ TEST(CachingPredictorTest, ConcurrentHammerStaysConsistent) {
 
 TEST(CachingPredictorTest, WrapHelperSharesSemantics) {
   auto inner = std::make_shared<CountingPredictor>();
-  const auto cached = with_cache(inner, 4);
+  const auto cached = with_cache(inner, CachingOptions{4});
   const std::vector<double> history = {0.5};
   (void)cached->predict(history, std::vector<double>{3.0}, 10.0);
   (void)cached->predict(history, std::vector<double>{3.0}, 10.0);
   EXPECT_EQ(inner->calls, 1);
-}
-
-// ---------------------------------------------------------------------------
-// Warm-start mode (CachingOptions::warm_start, DESIGN.md §11)
-// ---------------------------------------------------------------------------
-
-/// A warm-startable predictor that records whether (and from which prefix)
-/// each fit was seeded. Exported warm states are tagged with the history
-/// length they were fitted on, so tests can assert exactly which stored
-/// posterior seeded a later fit.
-class RecordingWarmPredictor final : public CurvePredictor, public WarmStartPredictor {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "recording-warm"; }
-
-  [[nodiscard]] CurvePrediction predict(std::span<const double> history,
-                                        std::span<const double> future_epochs,
-                                        double horizon) const override {
-    return predict_warm(history, future_epochs, horizon, nullptr, nullptr);
-  }
-
-  [[nodiscard]] CurvePrediction predict_warm(std::span<const double> history,
-                                             std::span<const double> future_epochs,
-                                             double /*horizon*/,
-                                             const WarmPosterior* warm,
-                                             WarmPosterior* out) const override {
-    ++fits;
-    seeded_from.push_back(warm != nullptr && !warm->empty()
-                              ? static_cast<long>(warm->walkers.front())
-                              : -1L);
-    if (out != nullptr) {
-      out->dim = 2;
-      out->walkers = {static_cast<double>(history.size()), 0.0};
-    }
-    std::vector<std::vector<double>> samples(
-        4, std::vector<double>(future_epochs.size(), history.back()));
-    return CurvePrediction(std::vector<double>(future_epochs.begin(), future_epochs.end()),
-                           std::move(samples));
-  }
-
-  mutable int fits = 0;
-  /// Per fit: history length of the seeding posterior, or -1 for cold.
-  mutable std::vector<long> seeded_from;
-};
-
-TEST(WarmStartTest, GrownPrefixIsSeededFromStoredPosterior) {
-  auto inner = std::make_shared<RecordingWarmPredictor>();
-  CachingOptions options;
-  options.warm_start = true;
-  CachingPredictor cached(inner, options);
-  const std::vector<double> future = {50.0};
-
-  const std::vector<double> h3 = {0.1, 0.2, 0.3};
-  std::vector<double> h5 = h3;
-  h5.insert(h5.end(), {0.35, 0.4});
-
-  (void)cached.predict(h3, future, 120.0);  // cold: nothing stored yet
-  (void)cached.predict(h5, future, 120.0);  // grown prefix of the same curve
-  ASSERT_EQ(inner->seeded_from.size(), 2u);
-  EXPECT_EQ(inner->seeded_from[0], -1);  // cold
-  EXPECT_EQ(inner->seeded_from[1], 3);   // seeded from the 3-epoch fit
-  EXPECT_EQ(cached.warm_hits(), 1u);
-  EXPECT_EQ(cached.warm_size(), 2u);  // both fits exported their state
-}
-
-TEST(WarmStartTest, LongestStoredPrefixWins) {
-  auto inner = std::make_shared<RecordingWarmPredictor>();
-  CachingOptions options;
-  options.warm_start = true;
-  CachingPredictor cached(inner, options);
-  const std::vector<double> future = {50.0};
-
-  std::vector<double> history = {0.1, 0.2};
-  (void)cached.predict(history, future, 120.0);
-  history.insert(history.end(), {0.3, 0.4});
-  (void)cached.predict(history, future, 120.0);
-  history.insert(history.end(), {0.5, 0.6});
-  (void)cached.predict(history, future, 120.0);
-  ASSERT_EQ(inner->seeded_from.size(), 3u);
-  EXPECT_EQ(inner->seeded_from[2], 4);  // the 4-epoch state, not the 2-epoch one
-}
-
-TEST(WarmStartTest, OnByDefaultAndColdForNonPrefixHistories) {
-  auto inner = std::make_shared<RecordingWarmPredictor>();
-  // Default options (including the legacy capacity-only constructor): warm
-  // seeding engages for a warm-startable inner — the 30-seed property test
-  // below is what licenses this default.
-  CachingPredictor defaulted(inner, 8);
-  const std::vector<double> future = {50.0};
-  (void)defaulted.predict(std::vector<double>{0.1, 0.2}, future, 120.0);
-  (void)defaulted.predict(std::vector<double>{0.1, 0.2, 0.3}, future, 120.0);
-  EXPECT_EQ(inner->seeded_from, (std::vector<long>{-1, 2}));
-  EXPECT_EQ(defaulted.warm_hits(), 1u);
-
-  // Opting out still yields a plain cache.
-  inner->seeded_from.clear();
-  CachingOptions off;
-  off.warm_start = false;
-  CachingPredictor plain(inner, off);
-  (void)plain.predict(std::vector<double>{0.1, 0.2}, future, 120.0);
-  (void)plain.predict(std::vector<double>{0.1, 0.2, 0.3}, future, 120.0);
-  EXPECT_EQ(inner->seeded_from, (std::vector<long>{-1, -1}));
-  EXPECT_EQ(plain.warm_hits(), 0u);
-  EXPECT_EQ(plain.warm_size(), 0u);
-
-  // Warm mode, but a history that is not a grown prefix of anything stored
-  // (different first epoch) must fit cold.
-  inner->seeded_from.clear();
-  CachingOptions options;
-  options.warm_start = true;
-  CachingPredictor cached(inner, options);
-  (void)cached.predict(std::vector<double>{0.1, 0.2}, future, 120.0);
-  (void)cached.predict(std::vector<double>{0.15, 0.2, 0.3}, future, 120.0);
-  EXPECT_EQ(inner->seeded_from, (std::vector<long>{-1, -1}));
-}
-
-TEST(WarmStartTest, PlainPredictorUnderWarmModeIsSafe) {
-  // warm_start against a non-warm-startable inner silently degrades to a
-  // plain cache (dynamic_cast gate).
-  auto inner = std::make_shared<CountingPredictor>();
-  CachingOptions options;
-  options.warm_start = true;
-  CachingPredictor cached(inner, options);
-  const std::vector<double> future = {5.0};
-  (void)cached.predict(std::vector<double>{0.1}, future, 120.0);
-  (void)cached.predict(std::vector<double>{0.1, 0.2}, future, 120.0);
-  EXPECT_EQ(inner->calls, 2);
-  EXPECT_EQ(cached.warm_hits(), 0u);
-  EXPECT_EQ(cached.warm_size(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// The config-default gate (ISSUE 6): across 30 seeds, warm-posterior reuse
-// must yield the same kill/keep decisions and a byte-identical golden event
-// log as cold start on the fig07 CIFAR workload. Warm posteriors are NOT
-// bit-identical to cold ones (different walker initialization); the property
-// is that POP's *decisions* — and hence the deterministic cluster trace —
-// do not change.
-// ---------------------------------------------------------------------------
-
-struct Fig07Cell {
-  std::vector<std::string> event_log;
-  std::vector<std::size_t> epochs_completed;  ///< per job: the kill/keep outcome
-  std::size_t warm_hits = 0;
-};
-
-Fig07Cell run_fig07_cell(std::uint64_t seed, bool warm_start) {
-  // Full 120-epoch fig07 curves, curated the way the warm-start contract
-  // demands (DESIGN.md §11): the property "warm and cold chains take the
-  // same kill/keep decisions" holds for decisive configs — a clear winner
-  // (reaches the target early) plus clear losers (flat well below it). A
-  // mid-quality config whose P(reach) hovers at the prune threshold gets a
-  // fresh coin flip at every boundary from either chain's sampling noise;
-  // such configs are exactly what fig07's suitable_trace curation avoids.
-  workload::CifarWorkloadModel model;
-  const auto pool = workload::generate_trace(model, 120, /*seed=*/9000 + seed);
-  workload::Trace trace = pool;
-  trace.jobs.clear();
-  for (const auto& job : pool.jobs) {  // one early winner
-    const auto reached = job.curve.first_epoch_reaching(pool.target_performance);
-    if (reached > 0 && reached <= 80) {
-      trace.jobs.push_back(job);
-      break;
-    }
-  }
-  if (trace.jobs.empty()) {  // surfaces as a test failure via gtest
-    throw std::runtime_error("pool seed has no early winner");
-  }
-  for (const auto& job : pool.jobs) {  // four clear losers
-    if (trace.jobs.size() >= 5) break;
-    if (job.curve.best_perf() <= 0.45) trace.jobs.push_back(job);
-  }
-
-  PredictorConfig config;
-  config.model_names = {"pow3", "weibull", "janoschek"};
-  // Enough samples that warm and cold chains agree on every threshold
-  // decision: the gate property is empirical, and thin posteriors sit jobs
-  // right on POP's prune threshold.
-  config.mcmc.nwalkers = 32;
-  config.mcmc.nsamples = 800;
-  config.mcmc.burn_in = 200;
-  config.mcmc.thin = 5;
-  config.seed = 0xCAFE ^ seed;
-  CachingOptions options;
-  options.capacity = 64;
-  options.warm_start = warm_start;
-  auto cached = std::make_shared<CachingPredictor>(make_mcmc_predictor(config), options);
-
-  core::PolicySpec spec;
-  spec.kind = core::PolicyKind::Pop;
-  spec.pop.predictor = cached;
-  spec.pop.tmax = util::SimTime::hours(48);
-  // Decide every 20 epochs: enough history per decision that the posterior
-  // is decisive for the curated winner/loser split above.
-  spec.pop.boundary = 20;
-  // The gate property is about kill/keep decisions. Opportunistic rotation
-  // is a scheduling *preference* derived from promising-set membership,
-  // which rounds S * p at 0.5 — a knife-edge any sampler's noise (warm or
-  // cold vs a second cold run with another seed) can land either side of.
-  // DESIGN.md §11 scopes the warm-start determinism contract accordingly.
-  spec.pop.rotate_opportunistic = false;
-  const auto policy = core::make_policy(spec);
-
-  cluster::ClusterOptions copts;
-  copts.machines = 2;
-  copts.seed = seed;
-  copts.record_event_log = true;
-  cluster::HyperDriveCluster cluster(trace, copts);
-  const auto result = cluster.run(*policy);
-
-  Fig07Cell out;
-  out.event_log = cluster.event_log();
-  for (const auto& js : result.job_stats) out.epochs_completed.push_back(js.epochs_completed);
-  out.warm_hits = cached->warm_hits();
-  return out;
-}
-
-TEST(WarmStartPropertyTest, SameDecisionsAndGoldenTraceAcross30Seeds) {
-  std::size_t total_warm_hits = 0;
-  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-    const auto cold = run_fig07_cell(seed, /*warm_start=*/false);
-    const auto warm = run_fig07_cell(seed, /*warm_start=*/true);
-    ASSERT_FALSE(cold.event_log.empty()) << "seed " << seed;
-    EXPECT_EQ(cold.epochs_completed, warm.epochs_completed) << "seed " << seed;
-    const bool logs_equal = cold.event_log == warm.event_log;
-    EXPECT_TRUE(logs_equal) << "seed " << seed;
-    if (!logs_equal) {  // surface the first divergence, not a truncated dump
-      const std::size_t n = std::min(cold.event_log.size(), warm.event_log.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (cold.event_log[i] != warm.event_log[i]) {
-          ADD_FAILURE() << "seed " << seed << " line " << i << ":\n  cold: "
-                        << cold.event_log[i] << "\n  warm: " << warm.event_log[i];
-          break;
-        }
-      }
-    }
-    EXPECT_EQ(cold.warm_hits, 0u) << "seed " << seed;
-    total_warm_hits += warm.warm_hits;
-  }
-  // The property is vacuous unless warm seeding actually engaged.
-  EXPECT_GT(total_warm_hits, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 namespace hyperdrive::curve {
 namespace {
@@ -110,6 +112,88 @@ TEST(FamilySemanticsTest, Pow4RejectsNegativeBase) {
   // a*x + b <= 0 must yield NaN, not a crash.
   const std::vector<double> theta = {0.8, 0.01, 0.01, 0.5};
   EXPECT_TRUE(std::isfinite(models[0]->eval(1.0, theta)));
+}
+
+/// The header's 11 formulas, written out independently of the family table
+/// in the operand order the library uses: the closed-form oracle that
+/// ParametricModel::eval (and through it every fused kernel) must match bit
+/// for bit.
+double closed_form(const std::string& family, double x, const std::vector<double>& t) {
+  if (family == "pow3") return t[0] - t[1] * std::pow(x, -t[2]);
+  if (family == "pow4") {
+    const double base = t[1] * x + t[2];
+    if (base <= 0.0) return std::nan("");
+    return t[0] - std::pow(base, -t[3]);
+  }
+  if (family == "log_log_linear") {
+    const double inner = t[0] * std::log(x) + t[1];
+    if (inner <= 0.0) return std::nan("");
+    return std::log(inner);
+  }
+  if (family == "log_power") return t[0] / (1.0 + std::pow(x / std::exp(t[1]), t[2]));
+  if (family == "vapor_pressure") return std::exp(t[0] + t[1] / x + t[2] * std::log(x));
+  if (family == "hill3") {
+    const double xe = std::pow(x, t[1]);
+    return t[0] * xe / (std::pow(t[2], t[1]) + xe);
+  }
+  if (family == "mmf") return t[0] - (t[0] - t[1]) / (1.0 + std::pow(t[2] * x, t[3]));
+  if (family == "exp4") return t[0] - std::exp(-t[1] * std::pow(x, t[3]) + t[2]);
+  if (family == "janoschek") return t[0] - (t[0] - t[1]) * std::exp(-t[2] * std::pow(x, t[3]));
+  if (family == "weibull") return t[0] - (t[0] - t[1]) * std::exp(-std::pow(t[2] * x, t[3]));
+  if (family == "ilog2") return t[0] - t[1] / std::log(x + 1.0);
+  ADD_FAILURE() << "no closed form for " << family;
+  return 0.0;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+TEST(FamilyOracleTest, EveryFormulaMatchesClosedFormBitForBit) {
+  const std::vector<double> xs = {1.0, 2.0, 3.5, 10.0, 40.0, 120.0, 1e4};
+  for (const auto& name : all_model_names()) {
+    const auto model = std::move(make_models({name})[0]);
+    const auto box = model->bounds();
+    util::Rng rng(0x0AC1E);
+    // The box corners and centre, in-box random draws, and draws from a box
+    // three times as wide (negative bases, overflow, NaN-producing pows).
+    std::vector<double> lo, hi, mid;
+    for (const auto& b : box) {
+      lo.push_back(b.lo);
+      hi.push_back(b.hi);
+      mid.push_back(0.5 * (b.lo + b.hi));
+    }
+    std::vector<std::vector<double>> thetas = {lo, hi, mid};
+    for (int i = 0; i < 40; ++i) thetas.push_back(model->random_params(rng));
+    for (int i = 0; i < 40; ++i) {
+      std::vector<double> wide;
+      for (const auto& b : box) {
+        const double span = b.hi - b.lo;
+        wide.push_back(rng.uniform(b.lo - span, b.hi + span));
+      }
+      thetas.push_back(std::move(wide));
+    }
+    // The explicit NaN branches: a*x + b <= 0 for pow4 and
+    // a*log(x) + b <= 0 for log_log_linear.
+    if (name == "pow4") thetas.push_back({0.8, -1.0, 0.5, 0.5});
+    if (name == "log_log_linear") thetas.push_back({-1.0, 0.5});
+
+    std::size_t family_nans = 0;
+    for (const auto& theta : thetas) {
+      for (const double x : xs) {
+        const double got = model->eval(x, theta);
+        const double want = closed_form(name, x, theta);
+        EXPECT_EQ(bits_of(got), bits_of(want))
+            << name << " at x=" << x << ": " << got << " vs " << want;
+        if (std::isnan(want)) ++family_nans;
+      }
+    }
+    if (name == "pow4" || name == "log_log_linear") {
+      EXPECT_GT(family_nans, 0u) << name << ": the grid must reach the NaN branch";
+    }
+  }
 }
 
 }  // namespace

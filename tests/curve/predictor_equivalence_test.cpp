@@ -1,8 +1,9 @@
 // Bit-identity of the fused BatchEvaluator kernels against the scalar
-// CurveEnsemble reference path (DESIGN.md §11). The batched kernel is only
-// allowed to ship as the default because every test here demands *exact*
-// bit equality — same expressions, same operand order, same NaN/inf
-// propagation — not approximate agreement.
+// CurveEnsemble reference path (DESIGN.md §11). The MCMC predictor runs on
+// the fused kernels only, so every test here demands *exact* bit equality —
+// same expressions, same operand order, same NaN/inf propagation — not
+// approximate agreement: kernel-level, and then sampler-level against a
+// LogProbFn that wraps CurveEnsemble::log_posterior.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -151,45 +152,107 @@ TEST(BatchEvaluatorTest, RebindingToNewHistoryStaysExact) {
   }
 }
 
-TEST(BatchEvaluatorTest, UnknownFamilyIsRejected) {
-  // A custom ParametricModel has no fused kernel; the evaluator must refuse
-  // (callers fall back to the scalar path via batched_kernel = false).
-  class CustomModel final : public ParametricModel {
-   public:
-    [[nodiscard]] std::string_view name() const noexcept override { return "custom"; }
-    [[nodiscard]] std::size_t num_params() const noexcept override { return 1; }
-    [[nodiscard]] const std::vector<ParamBounds>& bounds() const noexcept override {
-      static const std::vector<ParamBounds> b = {{0.0, 1.0}};
-      return b;
-    }
-    [[nodiscard]] double eval(double, std::span<const double> theta) const noexcept override {
-      return theta[0];
-    }
-    [[nodiscard]] std::vector<double> initial_guess(
-        std::span<const double>) const override {
-      return {0.5};
-    }
-  };
-  std::vector<std::unique_ptr<ParametricModel>> models;
-  models.push_back(std::make_unique<CustomModel>());
-  CurveEnsemble ensemble(std::move(models), 40.0);
-  BatchEvaluator eval;
-  EXPECT_THROW(eval.reset(ensemble), std::invalid_argument);
+/// The scalar reference the fused kernels must reproduce: the two-pass
+/// CurveEnsemble::log_posterior behind the sampler's evaluator interface
+/// (default batch and cutoff behaviour: full evaluation per row).
+class ReferenceLogProb final : public LogProbFn {
+ public:
+  ReferenceLogProb(const CurveEnsemble& ensemble, std::span<const double> ys)
+      : ensemble_(ensemble), ys_(ys) {}
+
+  [[nodiscard]] double log_prob(std::span<const double> theta) override {
+    return ensemble_.log_posterior(theta, ys_);
+  }
+
+ private:
+  const CurveEnsemble& ensemble_;
+  std::span<const double> ys_;
+};
+
+/// One sampler run over `evaluator`, started the way the MCMC predictor
+/// starts: the first walker at the least-squares center, the rest jittered,
+/// all from an RNG seeded with `seed`.
+McmcResult run_sampler(const CurveEnsemble& ensemble, std::span<const double> history,
+                       LogProbFn& evaluator, std::uint64_t seed, const McmcOptions& opts) {
+  util::Rng rng(seed);
+  const auto center = ensemble.initial_theta(history);
+  std::vector<double> walkers(center.begin(), center.end());
+  for (std::size_t i = 1; i < opts.nwalkers; ++i) {
+    const auto w = ensemble.jitter(center, rng);
+    walkers.insert(walkers.end(), w.begin(), w.end());
+  }
+  return run_ensemble_mcmc(evaluator, std::move(walkers), ensemble.dim(), opts, rng);
 }
 
-/// Full-pipeline check: the batched predictor must reproduce the scalar
-/// predictor's sampled curves byte for byte (same RNG draw sequence, same
-/// accept/reject decisions, same posterior-predictive noise).
-CurvePrediction run_predictor(const std::vector<std::string>& names, std::uint64_t seed,
-                              bool batched) {
+McmcOptions sampler_options(std::size_t nfamilies) {
+  McmcOptions opts;
+  opts.nwalkers = nfamilies == 1 ? 16 : 100;
+  opts.nsamples = nfamilies == 1 ? 60 : 40;
+  opts.burn_in = 20;
+  opts.thin = 2;
+  return opts;
+}
+
+/// Sampler-level check: the same walkers and the same RNG seed through the
+/// fused evaluator and through the reference must give the same accept/
+/// reject decisions, hence bit-identical samples. Returns false when both
+/// refuse to start (a lone family may legitimately have no walker start
+/// inside its support); a throw from only one side is a failure.
+bool expect_sampler_bit_identity(const std::vector<std::string>& names, std::uint64_t seed) {
+  const auto history = make_history(seed, 8 + seed % 7);
+  CurveEnsemble ensemble(make_models(names), 40.0);
+  const auto opts = sampler_options(names.size());
+  const std::string what = names.front() + " seed " + std::to_string(seed);
+
+  BatchEvaluator fused(ensemble);
+  fused.bind(history);
+  ReferenceLogProb reference(ensemble, history);
+  McmcResult a, b;
+  bool a_threw = false, b_threw = false;
+  try {
+    a = run_sampler(ensemble, history, fused, seed, opts);
+  } catch (const std::runtime_error&) {
+    a_threw = true;
+  }
+  try {
+    b = run_sampler(ensemble, history, reference, seed, opts);
+  } catch (const std::runtime_error&) {
+    b_threw = true;
+  }
+  EXPECT_EQ(a_threw, b_threw) << what;
+  if (a_threw || b_threw) return false;
+  EXPECT_EQ(a.dim, b.dim) << what;
+  EXPECT_EQ(a.acceptance_rate, b.acceptance_rate) << what;
+  EXPECT_EQ(a.samples.size(), b.samples.size()) << what;
+  if (a.samples.size() != b.samples.size()) return true;
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    expect_bits_eq(a.samples[i], b.samples[i], what);
+  }
+  return true;
+}
+
+TEST(BatchedPredictorTest, BitIdenticalToScalarPathPerFamilyOver30Seeds) {
+  std::size_t compared = 0;
+  for (const auto& name : all_model_names()) {
+    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+      if (expect_sampler_bit_identity({name}, seed)) ++compared;
+    }
+  }
+  // The throw escape hatch must not hollow the test out.
+  EXPECT_GT(compared, 250u);
+}
+
+TEST(BatchedPredictorTest, BitIdenticalToScalarPathFullEnsemble) {
+  for (std::uint64_t seed : {3u, 17u, 29u}) {
+    EXPECT_TRUE(expect_sampler_bit_identity(all_model_names(), seed)) << "seed " << seed;
+  }
+}
+
+CurvePrediction run_predictor(const std::vector<std::string>& names, std::uint64_t seed) {
   PredictorConfig config;
   config.model_names = names;
-  config.batched_kernel = batched;
   config.seed = seed;
-  config.mcmc.nwalkers = names.size() == 1 ? 16 : 100;
-  config.mcmc.nsamples = names.size() == 1 ? 60 : 40;
-  config.mcmc.burn_in = 20;
-  config.mcmc.thin = 2;
+  config.mcmc = sampler_options(names.size());
   const auto predictor = make_mcmc_predictor(config);
   const auto history = make_history(seed, 8 + seed % 7);
   const std::vector<double> future = {static_cast<double>(history.size() + 5), 40.0};
@@ -206,56 +269,19 @@ void expect_predictions_identical(const CurvePrediction& a, const CurvePredictio
   }
 }
 
-TEST(BatchedPredictorTest, BitIdenticalToScalarPathPerFamilyOver30Seeds) {
-  std::size_t compared = 0;
-  for (const auto& name : all_model_names()) {
-    for (std::uint64_t seed = 1; seed <= 30; ++seed) {
-      // A lone family may legitimately fail to fit a history (every walker
-      // start outside its support). Equivalence then means both paths throw;
-      // otherwise both must produce byte-identical predictions.
-      CurvePrediction batched, scalar;
-      bool batched_threw = false, scalar_threw = false;
-      try {
-        batched = run_predictor({name}, seed, /*batched=*/true);
-      } catch (const std::runtime_error&) {
-        batched_threw = true;
-      }
-      try {
-        scalar = run_predictor({name}, seed, /*batched=*/false);
-      } catch (const std::runtime_error&) {
-        scalar_threw = true;
-      }
-      ASSERT_EQ(batched_threw, scalar_threw) << name << " seed " << seed;
-      if (batched_threw) continue;
-      expect_predictions_identical(batched, scalar, name + " seed " + std::to_string(seed));
-      ++compared;
-    }
-  }
-  // The throw escape hatch must not hollow the test out.
-  EXPECT_GT(compared, 250u);
-}
-
-TEST(BatchedPredictorTest, BitIdenticalToScalarPathFullEnsemble) {
-  for (std::uint64_t seed : {3u, 17u, 29u}) {
-    const auto batched = run_predictor(all_model_names(), seed, /*batched=*/true);
-    const auto scalar = run_predictor(all_model_names(), seed, /*batched=*/false);
-    expect_predictions_identical(batched, scalar, "all-families");
-  }
-}
-
 TEST(BatchedPredictorTest, ConcurrentPredictsMatchSerial) {
-  // The fused path keeps one thread_local evaluator per thread; concurrent
-  // predicts through independent predictors must neither race (TSan job
-  // filter includes |Batch) nor perturb determinism.
+  // The MCMC predictor keeps one thread_local evaluator per thread;
+  // concurrent predicts through independent predictors must neither race
+  // (TSan job filter includes |Batch) nor perturb determinism.
   const std::vector<std::string> names = {"pow3", "weibull", "janoschek"};
   std::vector<CurvePrediction> serial;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    serial.push_back(run_predictor(names, seed, /*batched=*/true));
+    serial.push_back(run_predictor(names, seed));
   }
   std::vector<CurvePrediction> parallel(4);
   std::vector<std::thread> threads;
   for (std::uint64_t t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] { parallel[t] = run_predictor(names, t + 1, true); });
+    threads.emplace_back([&, t] { parallel[t] = run_predictor(names, t + 1); });
   }
   for (auto& th : threads) th.join();
   for (std::size_t t = 0; t < 4; ++t) {
