@@ -553,18 +553,21 @@ MultiStudyResult StudyManager::run() {
         },
         /*priority=*/10);
   }
+  // The arbitration tick re-arms itself by copying `tick`, so, like
+  // checkpoint_tick below, it lives at function scope: it must outlive
+  // sim_->run_until, which runs every re-arm.
+  const std::function<void()> tick = [this, &tick] {
+    arbitration_armed_ = false;
+    if (all_finished()) return;
+    rebalance(/*count_tick=*/true);
+    arbitration_event_ = sim_->schedule_after(options_.arbitration_interval, tick,
+                                              /*priority=*/20);
+    arbitration_armed_ = true;
+  };
   // Cost mode ticks even for a lone study: the caps that release idle
   // capacity are worth running with nobody to arbitrate against.
   if ((tenants_.size() > 1 || options_.arbitration == ArbitrationMode::Cost) &&
       options_.arbitration != ArbitrationMode::StaticPartition) {
-    const std::function<void()> tick = [this, &tick] {
-      arbitration_armed_ = false;
-      if (all_finished()) return;
-      rebalance(/*count_tick=*/true);
-      arbitration_event_ = sim_->schedule_after(options_.arbitration_interval, tick,
-                                                /*priority=*/20);
-      arbitration_armed_ = true;
-    };
     arbitration_event_ = sim_->schedule_after(options_.arbitration_interval, tick,
                                               /*priority=*/20);
     arbitration_armed_ = true;
