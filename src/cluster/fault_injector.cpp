@@ -174,7 +174,7 @@ FaultPlan load_fault_plan(std::istream& in) {
   while (parser.next_line()) {
     const std::string& directive = parser.directive();
     if (directive == "seed") {
-      plan.seed = static_cast<std::uint64_t>(parser.number("seed"));
+      plan.seed = parser.uint64("seed");
     } else if (directive == "drop" || directive == "dup" || directive == "delay") {
       const std::string type_token = parser.word("message type");
       MessageFaultProfile* profile =

@@ -48,7 +48,7 @@ StudySpec load_study_spec(std::istream& in) {
         parser.fail("weight must be positive and finite");
       }
     } else if (directive == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parser.number("seed"));
+      spec.seed = parser.uint64("seed");
     } else if (directive == "tmax") {
       spec.tmax = util::SimTime::seconds(parser.number("tmax"));
     } else if (directive == "cancel-at") {

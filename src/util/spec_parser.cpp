@@ -1,5 +1,6 @@
 #include "util/spec_parser.hpp"
 
+#include <charconv>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -60,6 +61,17 @@ std::optional<double> SpecParser::optional_number(const char* what) {
   } catch (const std::exception&) {
     fail(std::string("bad ") + what + " '" + token + "'");
   }
+}
+
+std::uint64_t SpecParser::uint64(const char* what) {
+  const std::string token = word(what);
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  // from_chars into an unsigned type reads base-10 digits only: a sign,
+  // "inf", a fraction, an exponent or a value above 2^64 - 1 all fail here.
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) fail(std::string("bad ") + what + " '" + token + "'");
+  return value;
 }
 
 void SpecParser::finish_line() {

@@ -7,6 +7,7 @@
 // byte-identical.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <sstream>
@@ -39,6 +40,10 @@ class SpecParser {
   double number(const char* what);
   /// As number(), but std::nullopt when the line has no tokens left.
   std::optional<double> optional_number(const char* what);
+  /// Next token as an exact unsigned 64-bit decimal (digits only: no sign,
+  /// fraction, exponent or "inf"); fails with "missing <what>" or
+  /// "bad <what> '<token>'", also when the value exceeds 2^64 - 1.
+  std::uint64_t uint64(const char* what);
   /// Reject any leftover token ("trailing token '<tok>'"). Call once all the
   /// directive's operands are consumed.
   void finish_line();

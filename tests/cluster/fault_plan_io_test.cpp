@@ -4,6 +4,7 @@
 // as the originals, and malformed input fails with a line number.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -180,6 +181,28 @@ void expect_error(const std::string& text, const std::string& needle) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "message '" << e.what() << "' lacks '" << needle << "'";
+  }
+}
+
+TEST(FaultPlanIoTest, SeedsAbove2To53RoundTripExactly) {
+  for (const std::uint64_t seed : {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+    FaultPlan plan = full_plan();
+    plan.seed = seed;
+    const std::string text = save(plan);
+    EXPECT_EQ(load(text).seed, seed) << text;
+    EXPECT_EQ(save(load(text)), text);
+  }
+}
+
+TEST(FaultPlanIoTest, RejectsSeedsThatAreNotUnsigned64BitDecimals) {
+  for (const std::string token :
+       {"inf", "-1", "1.5", "1e3", "+7", "0x10", "nan", "18446744073709551616"}) {
+    try {
+      (void)load("drop * 0.1\nseed " + token + "\n");
+      ADD_FAILURE() << "accepted seed " << token;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "fault plan line 2: bad seed '" + token + "'");
+    }
   }
 }
 

@@ -213,6 +213,34 @@ TEST(CoordinatorRecoveryTest, CrashedRunsAreThreadCountInvariant) {
   }
 }
 
+TEST(CoordinatorRecoveryTest, SeedAbove2To53SurvivesCrashReplayExactly) {
+  // Recovery re-admits studies from their recorded spec texts, so a study's
+  // seed must survive the text round trip exactly — beyond 2^53, where a
+  // double can no longer hold every integer, too.
+  StudySpec spec;
+  spec.name = "long";
+  spec.seed = (std::uint64_t{1} << 53) + 1;
+  spec.tmax = SimTime::hours(48);
+  const AdmitStudyFn admit = [](StudyManager& manager, const StudySpec& s) {
+    manager.add_study(s, curved_trace(8, 60, 0.9, 8.0, 0.95), default_policy_factory());
+  };
+
+  StudyManager plain(mix_options(5));
+  admit(plain, spec);
+  const MultiStudyResult ref = plain.run();
+  ASSERT_GT(ref.total_time, SimTime::minutes(60));
+
+  StudyManagerOptions options = mix_options(5);
+  cluster::CoordinatorCrashEvent crash;
+  crash.at = SimTime::minutes(60);
+  options.fault_plan.coordinator_crashes.push_back(crash);
+  CheckpointOptions ckpt;
+  ckpt.every = SimTime::minutes(10);
+  const auto run = run_recoverable_multi_study({spec}, options, ckpt, admit);
+  EXPECT_EQ(run.recovery.coordinator_crashes, 1u);
+  expect_identical(ref, run.result);
+}
+
 // --- out-of-process resume & the degraded ladder -----------------------------
 
 TEST(CoordinatorRecoveryTest, OutOfProcessResumeReplaysFromDurableFrames) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -169,6 +170,30 @@ TEST(StudySpecIoTest, ErrorsCarryLineNumbers) {
   EXPECT_THROW(load("study a\nweight inf\n"), std::invalid_argument);
   EXPECT_THROW(load("study a\nseed\n"), std::invalid_argument);
   EXPECT_THROW(load("study a b\n"), std::invalid_argument);  // trailing token
+}
+
+TEST(StudySpecIoTest, SeedsAbove2To53RoundTripExactly) {
+  // A double holds integers exactly only up to 2^53; the seed reader must
+  // not go through one.
+  for (const std::uint64_t seed : {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+    StudySpec spec = full_spec();
+    spec.seed = seed;
+    const std::string text = save(spec);
+    EXPECT_EQ(load(text).seed, seed) << text;
+    EXPECT_EQ(save(load(text)), text);
+  }
+}
+
+TEST(StudySpecIoTest, RejectsSeedsThatAreNotUnsigned64BitDecimals) {
+  for (const std::string token :
+       {"inf", "-1", "1.5", "1e3", "+7", "0x10", "nan", "18446744073709551616"}) {
+    try {
+      (void)load("study a\nseed " + token + "\n");
+      ADD_FAILURE() << "accepted seed " << token;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "study spec line 2: bad seed '" + token + "'");
+    }
+  }
 }
 
 TEST(StudySpecIoTest, RejectsUnnamedSpec) {
